@@ -14,19 +14,7 @@ let reverse_order nl ~vectors ~faults =
         let hit = Fsim.run_comb nl ~vectors:[ vec ] ~faults:!remaining in
         if hit <> [] then begin
           kept := vec :: !kept;
-          (* Set-membership drop: the hit list can be a large fraction of
-             [remaining], so the old [List.exists] filter was quadratic in
-             the fault count for vectors kept early. *)
-          let dropped = Hashtbl.create (List.length hit) in
-          List.iter
-            (fun (f : Fault.t) ->
-              Hashtbl.replace dropped (f.Fault.f_net, f.Fault.f_stuck) ())
-            hit;
-          remaining :=
-            List.filter
-              (fun (f : Fault.t) ->
-                not (Hashtbl.mem dropped (f.Fault.f_net, f.Fault.f_stuck)))
-              !remaining
+          remaining := Fault.diff !remaining hit
         end
       end)
     (List.rev vectors);

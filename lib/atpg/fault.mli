@@ -8,6 +8,10 @@ type t = { f_net : Netlist.net; f_stuck : bool }
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val diff : t list -> t list -> t list
+(** [diff xs drop] is [xs] without the faults of [drop], order preserved;
+    linear in the lengths of both lists. *)
+
 val name : Netlist.t -> t -> string
 (** e.g. "IR.3/sa0". *)
 

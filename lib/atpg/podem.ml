@@ -14,6 +14,12 @@ let c_decisions = Obs.sharded_counter ~scope:"atpg" "podem.decisions"
 let c_backtracks = Obs.sharded_counter ~scope:"atpg" "podem.backtracks"
 let h_backtracks = Obs.histogram ~scope:"atpg" "podem.backtracks_per_fault"
 
+(* Gates re-evaluated by incremental implication (the one whole-circuit
+   evaluation at the start of each [generate] is not counted), added once
+   per call.  A deterministic effort count: the test suite bounds it per
+   decision/backtrack, so a return to whole-circuit implication fails. *)
+let c_implied = Obs.sharded_counter ~scope:"atpg" "podem.implied_gates"
+
 (* Adaptive-budget telemetry: one escalation per fault per pass that had
    to be retried with a larger backtrack limit (ROADMAP: the
    backtracks_per_fault histogram is bimodal, so most faults never leave
@@ -52,119 +58,196 @@ let tv_mux s a b =
 
 let tv_of_bool b = if b then T1 else T0
 
-(* The five-valued machine state: good and faulty ternary value per net. *)
-type machine = { g : tv array; f : tv array }
+(* Ternary evaluation of combinational gate [g] over one machine's net
+   values, on the flat kind codes (Flat.k_const0 .. Flat.k_mux2). *)
+let eval_gate (flat : Flat.t) v g =
+  let b = flat.Flat.fanin_off.(g) and fi = flat.Flat.fanin in
+  match flat.Flat.kinds.(g) with
+  | 1 -> T0
+  | 2 -> T1
+  | 3 -> v.(fi.(b))
+  | 4 -> tv_not v.(fi.(b))
+  | 5 -> tv_and v.(fi.(b)) v.(fi.(b + 1))
+  | 6 -> tv_or v.(fi.(b)) v.(fi.(b + 1))
+  | 7 -> tv_not (tv_and v.(fi.(b)) v.(fi.(b + 1)))
+  | 8 -> tv_not (tv_or v.(fi.(b)) v.(fi.(b + 1)))
+  | 9 -> tv_xor v.(fi.(b)) v.(fi.(b + 1))
+  | 10 -> tv_not (tv_xor v.(fi.(b)) v.(fi.(b + 1)))
+  | 11 -> tv_mux v.(fi.(b)) v.(fi.(b + 1)) v.(fi.(b + 2))
+  | _ -> invalid_arg "Podem.eval_gate: not a combinational gate"
 
-let eval_tv nl v g =
-  let f = Netlist.fanin nl g in
-  match Netlist.kind nl g with
-  | Cell.Pi | Cell.Dff | Cell.Dffe | Cell.Sdff | Cell.Sdffe -> v.(g)
-  | Cell.Const0 -> T0
-  | Cell.Const1 -> T1
-  | Cell.Buf -> v.(f.(0))
-  | Cell.Inv -> tv_not v.(f.(0))
-  | Cell.And2 -> tv_and v.(f.(0)) v.(f.(1))
-  | Cell.Or2 -> tv_or v.(f.(0)) v.(f.(1))
-  | Cell.Nand2 -> tv_not (tv_and v.(f.(0)) v.(f.(1)))
-  | Cell.Nor2 -> tv_not (tv_or v.(f.(0)) v.(f.(1)))
-  | Cell.Xor2 -> tv_xor v.(f.(0)) v.(f.(1))
-  | Cell.Xnor2 -> tv_not (tv_xor v.(f.(0)) v.(f.(1)))
-  | Cell.Mux2 -> tv_mux v.(f.(0)) v.(f.(1)) v.(f.(2))
+(* Ternary D capture of flip-flop [ff], per the cell semantics
+   (Flat.k_dff .. Flat.k_sdffe). *)
+let capture (flat : Flat.t) v ff =
+  let b = flat.Flat.fanin_off.(ff) and fi = flat.Flat.fanin in
+  match flat.Flat.kinds.(ff) with
+  | 12 -> v.(fi.(b))
+  | 13 -> tv_mux v.(fi.(b + 1)) v.(ff) v.(fi.(b))
+  | 14 -> tv_mux v.(fi.(b + 2)) v.(fi.(b)) v.(fi.(b + 1))
+  | _ ->
+      let functional = tv_mux v.(fi.(b + 1)) v.(ff) v.(fi.(b)) in
+      tv_mux v.(fi.(b + 3)) functional v.(fi.(b + 2))
 
-(* Ternary D capture of a flip-flop, per the cell semantics. *)
-let capture_tv nl v ff =
-  let f = Netlist.fanin nl ff in
-  match Netlist.kind nl ff with
-  | Cell.Dff -> v.(f.(0))
-  | Cell.Dffe -> tv_mux v.(f.(1)) v.(ff) v.(f.(0))
-  | Cell.Sdff -> tv_mux v.(f.(2)) v.(f.(0)) v.(f.(1))
-  | Cell.Sdffe ->
-      let functional = tv_mux v.(f.(1)) v.(ff) v.(f.(0)) in
-      tv_mux v.(f.(3)) functional v.(f.(2))
-  | _ -> assert false
-
+(* PODEM on the flat form with incremental state (DESIGN.md §17).  All
+   gates are evaluated once; afterwards an input change enqueues its
+   combinational fanouts into level buckets, each gate is re-evaluated in
+   both machines in level order, and its fanouts are enqueued only when
+   one of its two values changed.  Because a gate's fanins all sit on
+   lower levels, every gate is evaluated after its fanins are final, so
+   the values equal a whole-circuit re-evaluation from the current input
+   assignment — which is why backtracking needs no undo trail: it sets
+   the popped inputs back to X (or flips one) through the same path.
+   The D-frontier is an indexed set refreshed whenever a gate is
+   (re-)evaluated, i.e. whenever the gate or one of its fanins changed.
+   The decision sequence is that of the whole-circuit engine this
+   replaced, so outcomes, vectors and counters are byte-identical. *)
 let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   Obs.incr c_faults;
-  let n = Netlist.gate_count nl in
-  (* All structural queries below run on the flat form: input index maps
-     (pi_of/dff_of), observability bits and the fanout CSR replace the
-     per-call Hashtbl and list scans of the original. *)
   let flat = Flat.of_netlist nl in
-  let order = flat.Flat.order in
-  let npi = Array.length flat.Flat.pis in
-  let ninputs = npi + Array.length flat.Flat.dffs in
-  let assign = Array.make ninputs TX in
-  let m = { g = Array.make n TX; f = Array.make n TX } in
+  let n = flat.Flat.n in
+  let kinds = flat.Flat.kinds and level = flat.Flat.level in
+  let fi_off = flat.Flat.fanin_off and fi = flat.Flat.fanin in
+  let fo_off = flat.Flat.fanout_off and fo = flat.Flat.fanout in
+  let pis = flat.Flat.pis and dffs = flat.Flat.dffs in
+  let npi = Array.length pis in
+  let ninputs = npi + Array.length dffs in
+  let site = fault.f_net in
   let stuck = tv_of_bool fault.f_stuck in
-  let imply () =
-    (* Load input assignments: slot i is PI i for i < npi, flip-flop
-       (i - npi) above. *)
-    Array.iteri (fun i net -> m.g.(net) <- assign.(i)) flat.Flat.pis;
-    Array.iteri (fun i net -> m.g.(net) <- assign.(npi + i)) flat.Flat.dffs;
-    Array.iter
-      (fun g ->
-        let gv = eval_tv nl m.g g in
-        m.g.(g) <- gv;
-        let fv = if g = fault.f_net then stuck else eval_tv nl m.f g in
-        (* Inputs of the faulty machine mirror the good machine. *)
-        let fv =
-          match Netlist.kind nl g with
-          | (Cell.Pi | Cell.Dff | Cell.Dffe | Cell.Sdff | Cell.Sdffe)
-            when g <> fault.f_net ->
-              gv
-          | _ -> fv
-        in
-        m.f.(g) <- fv)
-      order
+  let assign = Array.make ninputs TX in
+  (* Good and faulty machine: ternary value per net. *)
+  let good = Array.make n TX and bad = Array.make n TX in
+  let is_d net =
+    let a = good.(net) and b = bad.(net) in
+    a <> TX && b <> TX && a <> b
   in
-  let is_d net = m.g.(net) <> TX && m.f.(net) <> TX && m.g.(net) <> m.f.(net) in
+  (* D-frontier: combinational gates with an X output in either machine
+     and a D on some fanin.  [fpos.(g)] is g's slot in [fmem], or -1. *)
+  let fpos = Array.make n (-1) and fmem = Array.make (max 1 n) 0 in
+  let fsize = ref 0 in
+  let refresh g =
+    let k = kinds.(g) in
+    let member =
+      k >= Flat.k_buf && k < Flat.k_dff
+      && (good.(g) = TX || bad.(g) = TX)
+      &&
+      let rec any e = e < fi_off.(g + 1) && (is_d fi.(e) || any (e + 1)) in
+      any fi_off.(g)
+    in
+    let p = fpos.(g) in
+    if member && p < 0 then begin
+      fpos.(g) <- !fsize;
+      fmem.(!fsize) <- g;
+      incr fsize
+    end
+    else if (not member) && p >= 0 then begin
+      decr fsize;
+      let last = fmem.(!fsize) in
+      fmem.(p) <- last;
+      fpos.(last) <- p;
+      fpos.(g) <- -1
+    end
+  in
+  (* Level buckets: one slice of [bucket] per combinational level, sized
+     by the number of gates on that level; [queued] keeps each gate in at
+     most once per propagation. *)
+  let nlevels = 1 + Array.fold_left max 0 level in
+  let bstart = Array.make (nlevels + 1) 0 in
+  Array.iter (fun l -> bstart.(l + 1) <- bstart.(l + 1) + 1) level;
+  for l = 1 to nlevels do
+    bstart.(l) <- bstart.(l) + bstart.(l - 1)
+  done;
+  let blen = Array.make nlevels 0 and bucket = Array.make (max 1 n) 0 in
+  let queued = Bytes.make n '\000' in
+  let lo = ref nlevels and hi = ref (-1) in
+  let implied = ref 0 in
+  let enqueue_fanouts g =
+    for e = fo_off.(g) to fo_off.(g + 1) - 1 do
+      let h = fo.(e) in
+      if kinds.(h) < Flat.k_dff && Bytes.get queued h = '\000' then begin
+        Bytes.set queued h '\001';
+        let l = level.(h) in
+        bucket.(bstart.(l) + blen.(l)) <- h;
+        blen.(l) <- blen.(l) + 1;
+        if l < !lo then lo := l;
+        if l > !hi then hi := l
+      end
+    done
+  in
+  let eval_both g =
+    good.(g) <- eval_gate flat good g;
+    bad.(g) <- (if g = site then stuck else eval_gate flat bad g)
+  in
+  let propagate () =
+    (* Evaluating level l only enqueues levels above l, so each bucket is
+       complete by the time the sweep reaches it. *)
+    let l = ref !lo in
+    while !l <= !hi do
+      let base = bstart.(!l) in
+      for j = base to base + blen.(!l) - 1 do
+        let g = bucket.(j) in
+        Bytes.set queued g '\000';
+        incr implied;
+        let g0 = good.(g) and b0 = bad.(g) in
+        eval_both g;
+        if good.(g) <> g0 || bad.(g) <> b0 then enqueue_fanouts g;
+        refresh g
+      done;
+      blen.(!l) <- 0;
+      incr l
+    done;
+    lo := nlevels;
+    hi := -1
+  in
+  (* Input slot i is PI i for i < npi, flip-flop (i - npi) above.  The
+     faulty machine mirrors the good one except at the fault site. *)
+  let set_input i v =
+    assign.(i) <- v;
+    let net = if i < npi then pis.(i) else dffs.(i - npi) in
+    let fv = if net = site then stuck else v in
+    if good.(net) <> v || bad.(net) <> fv then begin
+      good.(net) <- v;
+      bad.(net) <- fv;
+      enqueue_fanouts net
+    end
+  in
+  (* Observation: a D can only reach the POs and flip-flop captures of the
+     fault's own cone — outside it both machines agree. *)
+  let cone, _ = Flat.cone flat site in
   let observable_d () =
-    Array.exists is_d flat.Flat.pos_net
+    Array.exists (fun i -> is_d flat.Flat.pos_net.(i)) cone.Flat.c_pos
     || Array.exists
-         (fun ff ->
-           let gd = capture_tv nl m.g ff and fd = capture_tv nl m.f ff in
+         (fun k ->
+           let gd = capture flat good dffs.(k) and fd = capture flat bad dffs.(k) in
            gd <> TX && fd <> TX && gd <> fd)
-         flat.Flat.dffs
-  in
-  let d_frontier () =
-    let res = ref [] in
-    Array.iter
-      (fun g ->
-        match Netlist.kind nl g with
-        | Cell.Pi | Cell.Const0 | Cell.Const1 | Cell.Dff | Cell.Dffe | Cell.Sdff
-        | Cell.Sdffe ->
-            ()
-        | _ ->
-            if (m.g.(g) = TX || m.f.(g) = TX)
-               && Array.exists is_d (Netlist.fanin nl g)
-            then res := g :: !res)
-      order;
-    List.rev !res
+         cone.Flat.c_dffs
   in
   (* X-path check: can a D on the frontier still reach an observation
-     point through X-valued nets? *)
-  let x_path_exists frontier =
-    let seen = Array.make n false in
-    let queue = Queue.create () in
-    List.iter
-      (fun g ->
-        seen.(g) <- true;
-        Queue.add g queue)
-      frontier;
-    let found = ref false in
-    let fo_off = flat.Flat.fanout_off and fo = flat.Flat.fanout in
-    while (not !found) && not (Queue.is_empty queue) do
-      let g = Queue.pop queue in
+     point through X-valued nets?  Breadth-first over a stamp array and an
+     array queue reused across calls. *)
+  let stamp = Array.make n 0 and epoch = ref 0 in
+  let xq = Array.make (max 1 n) 0 in
+  let x_path_exists () =
+    incr epoch;
+    let ep = !epoch in
+    for i = 0 to !fsize - 1 do
+      stamp.(fmem.(i)) <- ep;
+      xq.(i) <- fmem.(i)
+    done;
+    let head = ref 0 and tail = ref !fsize and found = ref false in
+    while (not !found) && !head < !tail do
+      let g = xq.(!head) in
+      incr head;
       if flat.Flat.is_obs.(g) then found := true
       else
-        for j = fo_off.(g) to fo_off.(g + 1) - 1 do
-          let h = fo.(j) in
-          if (not seen.(h))
-             && flat.Flat.kinds.(h) < Flat.k_dff
-             && (m.g.(h) = TX || m.f.(h) = TX)
+        for e = fo_off.(g) to fo_off.(g + 1) - 1 do
+          let h = fo.(e) in
+          if stamp.(h) <> ep
+             && kinds.(h) < Flat.k_dff
+             && (good.(h) = TX || bad.(h) = TX)
           then begin
-            seen.(h) <- true;
-            Queue.add h queue
+            stamp.(h) <- ep;
+            xq.(!tail) <- h;
+            incr tail
           end
         done
     done;
@@ -172,7 +255,7 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   in
   (* Fault effect can also still be unactivated but activatable. *)
   let site_ok () =
-    match m.g.(fault.f_net) with
+    match good.(site) with
     | TX -> true
     | v -> v <> stuck
   in
@@ -187,79 +270,107 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
   let frontier_rank g =
     match scoap with Some (s : Scoap.t) -> s.Scoap.co.(g) | None -> 0
   in
-  let objective () =
-    if m.g.(fault.f_net) = TX then Some (fault.f_net, tv_not stuck)
-    else
-      match
-        List.sort (fun a b -> compare (frontier_rank a) (frontier_rank b))
-          (d_frontier ())
-      with
-      | [] -> None
-      | gate :: _ ->
-          let fanin = Netlist.fanin nl gate in
-          let xpins =
-            Array.to_list fanin |> List.filter (fun p -> m.g.(p) = TX)
-          in
-          (match xpins with
-          | [] -> None
-          | pin :: _ ->
-              let v =
-                match Netlist.kind nl gate with
-                | Cell.And2 | Cell.Nand2 -> T1
-                | Cell.Or2 | Cell.Nor2 -> T0
-                | Cell.Mux2 ->
-                    if pin = fanin.(0) then
-                      (* Select the data input carrying the D. *)
-                      if is_d fanin.(1) then T0 else T1
-                    else T1
-                | _ -> T1
-              in
-              Some (pin, v))
+  (* The frontier gate to propagate through: lowest (rank, topological
+     position), the head of a stable rank sort over the circuit order. *)
+  let frontier_pick () =
+    let best = ref (-1) in
+    for i = 0 to !fsize - 1 do
+      let g = fmem.(i) in
+      let b = !best in
+      if b < 0
+         || frontier_rank g < frontier_rank b
+         || (frontier_rank g = frontier_rank b
+             && flat.Flat.topo_pos.(g) < flat.Flat.topo_pos.(b))
+      then best := g
+    done;
+    !best
   in
-  let input_index net =
-    if flat.Flat.pi_of.(net) >= 0 then Some flat.Flat.pi_of.(net)
-    else if flat.Flat.dff_of.(net) >= 0 then Some (npi + flat.Flat.dff_of.(net))
-    else None
+  (* The first fanin of [g] with an X good value whose cost for [target]
+     is lowest, or -1. *)
+  let pick_x_for g target =
+    let best = ref (-1) and best_cost = ref 0 in
+    for e = fi_off.(g) to fi_off.(g + 1) - 1 do
+      let p = fi.(e) in
+      if good.(p) = TX then begin
+        let c = cc p target in
+        if !best < 0 || c < !best_cost then begin
+          best := p;
+          best_cost := c
+        end
+      end
+    done;
+    !best
+  in
+  let objective () =
+    if good.(site) = TX then Some (site, tv_not stuck)
+    else
+      let gate = frontier_pick () in
+      if gate < 0 then None
+      else
+        let b = fi_off.(gate) in
+        let rec first_x e =
+          if e = fi_off.(gate + 1) then -1
+          else if good.(fi.(e)) = TX then fi.(e)
+          else first_x (e + 1)
+        in
+        match first_x b with
+        | -1 -> None
+        | pin ->
+            let v =
+              match kinds.(gate) with
+              | 5 | 7 (* and2, nand2 *) -> T1
+              | 6 | 8 (* or2, nor2 *) -> T0
+              | 11 (* mux2 *) ->
+                  if pin = fi.(b) then
+                    (* Select the data input carrying the D. *)
+                    if is_d fi.(b + 1) then T0 else T1
+                  else T1
+              | _ -> T1
+            in
+            Some (pin, v)
   in
   let rec backtrace net v =
-    match input_index net with
-    | Some i -> if assign.(i) = TX then Some (i, v) else None
-    | None -> (
-        let fanin = Netlist.fanin nl net in
-        (* Among the unassigned fanins, prefer the one SCOAP deems easiest
-           to drive to the value this branch will request. *)
-        let pick_x_for target =
-          Array.to_list fanin
-          |> List.filter (fun p -> m.g.(p) = TX)
-          |> List.sort (fun a b -> compare (cc a target) (cc b target))
-          |> function [] -> None | p :: _ -> Some p
-        in
-        let pick_x () = pick_x_for v in
-        ignore pick_x;
-        match Netlist.kind nl net with
-        | Cell.Buf -> backtrace fanin.(0) v
-        | Cell.Inv -> backtrace fanin.(0) (tv_not v)
-        | Cell.And2 | Cell.Or2 -> (
-            match pick_x_for v with Some p -> backtrace p v | None -> None)
-        | Cell.Nand2 | Cell.Nor2 -> (
-            match pick_x_for (tv_not v) with
-            | Some p -> backtrace p (tv_not v)
-            | None -> None)
-        | Cell.Xor2 | Cell.Xnor2 -> (
-            match pick_x_for v with Some p -> backtrace p v | None -> None)
-        | Cell.Mux2 ->
-            if m.g.(fanin.(1)) = TX then backtrace fanin.(1) v
-            else if m.g.(fanin.(2)) = TX then backtrace fanin.(2) v
-            else if m.g.(fanin.(0)) = TX then
-              backtrace fanin.(0) (if m.g.(fanin.(1)) = v then T0 else T1)
-            else None
-        | _ -> None)
+    if flat.Flat.pi_of.(net) >= 0 then
+      let i = flat.Flat.pi_of.(net) in
+      if assign.(i) = TX then Some (i, v) else None
+    else if flat.Flat.dff_of.(net) >= 0 then
+      let i = npi + flat.Flat.dff_of.(net) in
+      if assign.(i) = TX then Some (i, v) else None
+    else
+      (* Among the unassigned fanins, prefer the one SCOAP deems easiest
+         to drive to the value this branch will request. *)
+      let via target =
+        match pick_x_for net target with -1 -> None | p -> backtrace p target
+      in
+      let b = fi_off.(net) in
+      match kinds.(net) with
+      | 3 (* buf *) -> backtrace fi.(b) v
+      | 4 (* inv *) -> backtrace fi.(b) (tv_not v)
+      | 5 | 6 | 9 | 10 (* and2, or2, xor2, xnor2 *) -> via v
+      | 7 | 8 (* nand2, nor2 *) -> via (tv_not v)
+      | 11 (* mux2 *) ->
+          let s = fi.(b) and a = fi.(b + 1) and c = fi.(b + 2) in
+          if good.(a) = TX then backtrace a v
+          else if good.(c) = TX then backtrace c v
+          else if good.(s) = TX then
+            backtrace s (if good.(a) = v then T0 else T1)
+          else None
+      | _ -> None
   in
+  (* Whole-circuit evaluation once, with every input at X. *)
+  Array.iter
+    (fun g ->
+      let k = kinds.(g) in
+      if k = Flat.k_pi || k >= Flat.k_dff then begin
+        if g = site then bad.(g) <- stuck
+      end
+      else eval_both g;
+      refresh g)
+    flat.Flat.order;
   (* Decision stack: (input index, value, flipped already?). *)
   let stack = ref [] in
   let backtracks = ref 0 in
   let result = ref None in
-  imply ();
   while !result = None do
     if (match budget with Some b -> not (Budget.spend b) | None -> false) then
       (* Fuel or deadline gone mid-search: degrade to Aborted so the
@@ -271,11 +382,10 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
       result := Some (Test vec)
     end
     else begin
-      let frontier = d_frontier () in
       let dead =
         (not (site_ok ()))
-        || (m.g.(fault.f_net) <> TX && frontier = [])
-        || (frontier <> [] && not (x_path_exists frontier))
+        || (good.(site) <> TX && !fsize = 0)
+        || (!fsize > 0 && not (x_path_exists ()))
       in
       let next_decision =
         if dead then None
@@ -287,9 +397,9 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
       match next_decision with
       | Some (i, v) ->
           Obs.sincr c_decisions;
-          assign.(i) <- v;
+          set_input i v;
           stack := (i, v, false) :: !stack;
-          imply ()
+          propagate ()
       | None ->
           (* Backtrack. *)
           incr backtracks;
@@ -301,22 +411,23 @@ let generate ?(backtrack_limit = 1000) ?scoap ?budget nl (fault : Fault.t) =
               | [] -> result := Some Untestable
               | (i, v, flipped) :: rest ->
                   if flipped then begin
-                    assign.(i) <- TX;
+                    set_input i TX;
                     stack := rest;
                     pop ()
                   end
                   else begin
                     let v' = tv_not v in
-                    assign.(i) <- v';
+                    set_input i v';
                     stack := (i, v', true) :: rest
                   end
             in
             pop ();
-            if !result = None then imply ()
+            if !result = None then propagate ()
           end
     end
   done;
   Obs.observe h_backtracks (float_of_int !backtracks);
+  Obs.sadd c_implied !implied;
   match !result with Some r -> r | None -> assert false
 
 type stats = {
@@ -361,8 +472,7 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
         in
         vectors := contributing;
         detected := hit;
-        remaining :=
-          List.filter (fun f -> not (List.exists (Fault.equal f) hit)) !remaining);
+        remaining := Fault.diff !remaining hit);
   (* Phase 2: deterministic PODEM with fault dropping and an adaptive
      backtrack budget.  The backtracks_per_fault histogram is bimodal
      (p50 around 5, p99 at the limit), so a small first-pass limit covers
@@ -387,12 +497,9 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
        engine would have computed, so vectors/detected/redundant/
        aborted are bit-identical at any domain count; only the wasted
        speculation (and its decision/backtrack counters) varies. *)
-    if Netlist.gate_count nl > 0 then begin
-      (* Warm the netlist's lazily-built shared caches on the submitting
-         domain; window workers then only read them. *)
-      ignore (Netlist.comb_order nl);
-      ignore (Netlist.fanout nl 0)
-    end;
+    (* Warm the netlist's lazily-built flat form on the submitting domain;
+       window workers then only read it. *)
+    ignore (Flat.of_netlist nl);
     let window_size =
       (* Budgeted runs stay serial: the fuse is checked inside [generate],
          so parallel speculation would make the abort point timing-
@@ -445,11 +552,7 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
                           Fsim.run_comb nl ~vectors:[ vec ] ~faults:!queue
                         in
                         detected := extra @ !detected;
-                        queue :=
-                          List.filter
-                            (fun f' ->
-                              not (List.exists (Fault.equal f') extra))
-                            !queue;
+                        queue := Fault.diff !queue extra;
                         vectors := vec :: !vectors)
                 | _ ->
                     (* Collaterally dropped earlier in this window; the
@@ -478,11 +581,7 @@ let run_uncached ?(backtrack_limit = 1000) ?(random_patterns = 64) ?(seed = 42)
      of the deterministic run, and the kept vectors may collaterally catch
      faults the search had to abort on. *)
   let final_detected = Fsim.run_comb nl ~vectors:final_vectors ~faults in
-  let aborted =
-    List.filter
-      (fun f -> not (List.exists (Fault.equal f) final_detected))
-      !aborted
-  in
+  let aborted = Fault.diff !aborted final_detected in
   let ndet = List.length final_detected and nred = List.length !redundant in
   {
     vectors = final_vectors;

@@ -3,7 +3,14 @@
     Decision variables are the circuit's inputs in the scan sense: primary
     inputs plus flip-flop (pseudo) inputs.  Observation points are primary
     outputs plus flip-flop D captures.  Five-valued D-calculus is encoded as
-    a pair of ternary values (good machine, faulty machine). *)
+    a pair of ternary values (good machine, faulty machine).
+
+    The search runs on the netlist's {!Socet_netlist.Flat} form with
+    incremental implication: after one whole-circuit evaluation per call,
+    only the gates downstream of a changed input are re-evaluated, in
+    level order, and the D-frontier is kept as a set updated on those
+    re-evaluations (DESIGN.md §17).  Its decisions are those of a
+    whole-circuit re-evaluation after every step. *)
 
 open Socet_util
 open Socet_netlist
@@ -25,9 +32,14 @@ val generate :
   Fault.t ->
   outcome
 (** [backtrack_limit] defaults to 1000.  With [scoap], backtrace prefers
-    the easiest-to-control fanin and the D-frontier is explored in
-    observability order.  With [budget], every decision/backtrack step
-    spends one unit; exhaustion degrades the search to [Aborted]. *)
+    the easiest-to-control fanin (ties: first pin) and the D-frontier gate
+    with the lowest observability cost (ties: topological order) is
+    propagated first.  With [budget], every decision/backtrack step spends
+    one unit; exhaustion degrades the search to [Aborted].
+
+    Counters: [atpg.podem.decisions], [atpg.podem.backtracks] and
+    [atpg.podem.implied_gates] (gates re-evaluated by incremental
+    implication), all sharded per pool domain. *)
 
 type stats = {
   vectors : Bitvec.t list;
