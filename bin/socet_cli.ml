@@ -142,8 +142,8 @@ let cache_arg =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Persist expensive results (ATPG vector sets, access routes, \
-           TAM schedules) in a content-addressed store under $(docv), \
+          "Persist per-core ATPG results (vector sets and fault \
+           statistics) in a content-addressed store under $(docv), \
            created if missing.  Cached results are byte-identical to \
            recomputation; the store is bounded \
            ($(b,SOCET_CACHE_LIMIT_MB), default 256) and LRU-evicted, \
@@ -515,9 +515,8 @@ let plan_both soc width =
 (* A functional-but-equivalent netlist edit to the first core: an
    inverter pair spliced into its first primary output.  The logic
    function is unchanged, the structure is not — exactly the edit whose
-   blast radius the incremental story bounds (its own ATPG and the
-   chip-level schedules recompute; every other core's artifacts and all
-   access routes are reused). *)
+   blast radius the incremental story bounds (its own ATPG recomputes;
+   every other core's ATPG is reused). *)
 let edit_first_core soc =
   match soc.Soc.insts with
   | [] -> ()
@@ -536,9 +535,6 @@ let cmd_diff_test opts cache seed cores width =
   let gen () =
     Socet_cores.Gen.random_soc ?cores ~hetero:true (Socet_util.Rng.create seed)
   in
-  (* Each pass regenerates the SOC from the seed with the scoreboard
-     reset first, so per-core artifacts created during instantiation
-     (version ladders) are tallied with the pass that triggered them. *)
   let run_pass label ~edit =
     Cache.reset_scoreboard ();
     let soc = gen () in

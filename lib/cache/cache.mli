@@ -1,19 +1,20 @@
 (** Content-addressed persistent result cache — the engine-facing facade
     (DESIGN.md §16).
 
-    Engines key their expensive artifacts by canonical content hashes
-    ({!Socet_netlist.Structhash} for netlists, RTL renderings for cores)
-    and call {!find}/{!store}/{!memo} with a namespace and key; the CLI
-    and the serve dispatcher decide {e whether} a store is active
-    ([--cache DIR], the wire protocol's cache field).  With no active
-    store every entry point is a no-op, so un-cached runs pay one atomic
-    load per hook.
+    The one cached artifact is a core's ATPG result: [Podem.run] keys it
+    by the netlist's {!Socet_netlist.Structhash} plus the engine
+    parameters and calls {!memo} under the [podem1] namespace.
+    Chip-level planning (routing, version ladders, TAM packing) is cheap
+    graph work and is always recomputed.  The CLI and the serve
+    dispatcher decide {e whether} a store is active ([--cache DIR], the
+    wire protocol's cache field).  With no active store every entry
+    point is a no-op, so un-cached runs pay one atomic load per hook.
 
     Contract: a cached artifact is byte-identical to what the engine
     would recompute — namespaces embed a format version, keys pin every
     input that can influence the result, and the replay oracles
-    ({!Socet_core.Replay}, {!Socet_tam.Replay}) keep running against
-    cached results.  Observability: [cache.{hits,misses,stores,
+    ({!Socet_core.Replay}, {!Socet_tam.Replay}) check every plan built
+    on cached test sets.  Observability: [cache.{hits,misses,stores,
     evictions}] counters and the [cache.bytes] gauge. *)
 
 val set_active : Store.t option -> unit

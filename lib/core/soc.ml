@@ -29,47 +29,10 @@ type t = {
   memories : memory list;
 }
 
-module Cache = Socet_cache.Cache
-
-(* ------------------------------------------------------------------ *)
-(* Content hashes (DESIGN.md §16)                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A core's identity for caching is its complete RTL rendering: ports,
-   registers and transfers in declaration order.  Everything instantiate
-   derives (RCG, HSCAN, versions, netlist, ATPG) is a pure function of
-   this text, so it is the one key under which per-core artifacts
-   persist. *)
-let core_hash core =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Rtl_core.pp core))
-
-let rtl_hash ci = core_hash ci.ci_core
-
-(* The version ladder aliases RCG mux edges freshly inserted by
-   [Version.generate], so it cannot be reloaded from disk into a new
-   RCG.  Instead a plain-data determinism signature is cached: on a warm
-   run the ladder is regenerated (cheap) and checked against the stored
-   signature, so diff-test can report ladder reuse per core and a
-   drifting generator shows up as a mismatch instead of being trusted. *)
-let version_signature versions =
-  List.map
-    (fun v ->
-      ( v.Version.v_index,
-        v.Version.v_overhead,
-        List.map
-          (fun p -> (p.Version.pr_input, p.Version.pr_output, p.Version.pr_latency))
-          v.Version.v_pairs,
-        v.Version.v_added_muxes ))
-    versions
-
 let instantiate ?(atpg_seed = 42) ci_name core =
   let rcg = Rcg.of_core core in
   let hscan = Hscan.insert rcg in
   let versions = Version.generate rcg in
-  let signature = version_signature versions in
-  (match Cache.find ~ns:"versions1" ~key:(core_hash core) with
-  | Some s when s = signature -> ()
-  | Some _ | None -> Cache.store ~ns:"versions1" ~key:(core_hash core) signature);
   let netlist = Elaborate.core_to_netlist core in
   {
     ci_name;
@@ -204,57 +167,3 @@ let hscan_area_overhead soc =
 let driver_of soc inst_name port =
   List.find_opt (fun c -> c.c_to = Cport (inst_name, port)) soc.conns
   |> Option.map (fun c -> c.c_from)
-
-let endpoint_str = function
-  | Pi n -> "pi:" ^ n
-  | Po n -> "po:" ^ n
-  | Cport (i, p) -> "cp:" ^ i ^ "." ^ p
-
-(* The SOC's wiring shape with cores as opaque boxes: everything that
-   pins the CCG's node/edge enumeration order (chip pins, instance and
-   port order, connection order) without looking inside any core.  Route
-   entries key on this plus the cone's RTL hashes, so an edit to one
-   core leaves routes through the *other* cores' cones valid. *)
-let skeleton_hash soc =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "socet-skeleton-v1\n";
-  List.iter (fun (n, w) -> Buffer.add_string b (Printf.sprintf "pi %s %d\n" n w)) soc.soc_pis;
-  List.iter (fun (n, w) -> Buffer.add_string b (Printf.sprintf "po %s %d\n" n w)) soc.soc_pos;
-  List.iter
-    (fun ci ->
-      Buffer.add_string b (Printf.sprintf "inst %s\n" ci.ci_name);
-      List.iter
-        (fun (p : Rtl_core.port) ->
-          Buffer.add_string b
-            (Printf.sprintf "  port %s %s %d\n" p.Rtl_core.p_name
-               (match p.Rtl_core.p_dir with `In -> "in" | `Out -> "out")
-               p.Rtl_core.p_width))
-        (Rtl_core.ports ci.ci_core))
-    soc.insts;
-  List.iter
-    (fun c ->
-      Buffer.add_string b
-        (Printf.sprintf "conn %s -> %s\n" (endpoint_str c.c_from) (endpoint_str c.c_to)))
-    soc.conns;
-  List.iter
-    (fun m -> Buffer.add_string b (Printf.sprintf "mem %s %d %d\n" m.m_name m.m_bits m.m_bist_area))
-    soc.memories;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let netlist_hash ci = Structhash.netlist ci.ci_netlist
-
-(* Skeleton plus full core contents: the identity of the whole design,
-   under which complete chip-level results (TAM schedules) persist.
-   Both the RTL and the elaborated netlist hash in: the netlist is
-   normally a pure function of the RTL, but a direct netlist edit (the
-   diff-test scenario) changes test sets without changing the RTL
-   rendering, and chip-level results must see that. *)
-let content_hash soc =
-  let b = Buffer.create 512 in
-  Buffer.add_string b (skeleton_hash soc);
-  List.iter
-    (fun ci ->
-      Buffer.add_string b
-        (Printf.sprintf "\n%s %s %s" ci.ci_name (rtl_hash ci) (netlist_hash ci)))
-    soc.insts;
-  Digest.to_hex (Digest.string (Buffer.contents b))

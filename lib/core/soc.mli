@@ -79,31 +79,3 @@ val hscan_area_overhead : t -> int
 
 val driver_of : t -> string -> string -> endpoint_ref option
 (** [driver_of soc inst port]: what drives this core input. *)
-
-(** {2 Content hashes}
-
-    Canonical identities for the persistent result cache (DESIGN.md
-    §16).  All are hex MD5 strings over deterministic renderings. *)
-
-val core_hash : Rtl_core.t -> string
-(** Identity of a core's complete RTL (ports, registers, transfers in
-    declaration order) — the key for per-core cached artifacts. *)
-
-val rtl_hash : core_inst -> string
-(** [core_hash] of the instance's core. *)
-
-val skeleton_hash : t -> string
-(** The SOC's wiring shape with cores opaque: chip pins, instance/port
-    order, connections, memories.  Pins the CCG node-id space without
-    depending on core internals. *)
-
-val netlist_hash : core_inst -> string
-(** {!Socet_netlist.Structhash.netlist} of the instance's elaborated
-    netlist: rename- and reorder-invariant, functional-edit-sensitive. *)
-
-val content_hash : t -> string
-(** [skeleton_hash] plus every instance's [rtl_hash] {e and}
-    [netlist_hash] — the identity of the whole design, keying chip-level
-    cached results.  The netlist hashes in separately because a direct
-    netlist edit changes test sets without changing the RTL
-    rendering. *)
